@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod fault;
 pub mod frame;
 mod inproc;

@@ -47,6 +47,23 @@ const REPLAY_CAP: usize = 64 << 20;
 /// accept queue before it is discarded.
 const ACCEPT_GRACE: Duration = Duration::from_secs(5);
 
+/// Classify a fatal socket error on `peer`'s connection. A broken pipe or
+/// a reset means the peer is gone (it aborted, exited, or closed while
+/// our bytes were in flight): that is [`FabricError::PeerClosed`], the
+/// same verdict a clean EOF gets, whichever side of the race noticed
+/// first. Anything else stays an opaque [`FabricError::Io`].
+fn socket_fault(peer: NodeId, e: &std::io::Error) -> FabricError {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    match e.kind() {
+        BrokenPipe | ConnectionReset | ConnectionAborted => FabricError::PeerClosed { peer },
+        kind => FabricError::Io {
+            peer: Some(peer),
+            kind,
+            msg: e.to_string(),
+        },
+    }
+}
+
 /// A reliable frame retained until the peer's cumulative ack covers it,
 /// so it can be re-sent verbatim after a reconnect.
 struct ReplayFrame {
@@ -667,23 +684,25 @@ impl TcpFabric {
                         continue;
                     }
                     Err(e) => {
-                        fault = Some(Some(FabricError::Io {
-                            peer: Some(peer_rank),
-                            kind: e.kind(),
-                            msg: e.to_string(),
-                        }));
+                        fault = Some(Some(socket_fault(peer_rank, &e)));
                     }
                 }
             }
 
-            // Reads: pull whatever the kernel has buffered.
+            // Reads: pull whatever the kernel has buffered — also after a
+            // failed write, because a departed peer's last frames (its
+            // Abort, its final barrier) still sit in the receive buffer
+            // ahead of the EOF or reset. A write fault, seen first, keeps
+            // its classification.
             let mut tmp = [0u8; 64 * 1024];
-            while fault.is_none() && !peer.eof {
+            let mut reading = !peer.eof;
+            while reading {
                 match peer.stream.as_mut().unwrap().read(&mut tmp) {
                     Ok(0) => {
                         // Orderly close: parse what already arrived, then
                         // let the disposition below decide.
-                        fault = Some(None);
+                        fault.get_or_insert(None);
+                        reading = false;
                     }
                     Ok(k) => {
                         peer.inbuf.extend_from_slice(&tmp[..k]);
@@ -694,11 +713,8 @@ impl TcpFabric {
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        fault = Some(Some(FabricError::Io {
-                            peer: Some(peer_rank),
-                            kind: e.kind(),
-                            msg: e.to_string(),
-                        }));
+                        fault.get_or_insert(Some(socket_fault(peer_rank, &e)));
+                        reading = false;
                     }
                 }
             }

@@ -12,15 +12,20 @@
 //! values, a resumed run reproduces the original results bit for bit.
 //!
 //! The file format follows the repo's wire idiom: hand-rolled little-endian
-//! layout, a magic tag, an explicit version, and an FNV-1a checksum over
-//! the body so a truncated or bit-flipped file is rejected as a typed
+//! layout, a magic tag, an explicit version, and a byte-serial FNV-1a
+//! checksum ([`pulsar_fabric::checksum::disk`]) over the body so a
+//! truncated or bit-flipped file is rejected as a typed
 //! [`CheckpointError`] instead of being half-applied. Packets are embedded
 //! in their [`Packet::encode_wire`] form (`[tag][crc][body]`), so each
-//! payload additionally carries its own checksum.
+//! payload additionally carries its own wire checksum. A file written by a
+//! build whose wire checksum differs therefore fails to load with
+//! [`CheckpointError::Packet`]`(`[`WireError::Checksum`]`)`, never with
+//! wrong data.
 
 use crate::channel::ChannelState;
 use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::tuple::Tuple;
+use pulsar_fabric::checksum;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -177,15 +182,6 @@ pub(crate) fn entry_of(v: &crate::vdp::VdpState) -> VdpEntry {
             })
             .collect(),
     }
-}
-
-/// FNV-1a over the body (same hash the packet codec uses).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 // ---- body writers ---------------------------------------------------------
@@ -351,7 +347,7 @@ pub fn encode(ck: &RankCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     );
     put_u64(&mut out, ck.epoch);
     put_u64(&mut out, body.len() as u64);
-    put_u32(&mut out, fnv1a(&body));
+    put_u32(&mut out, checksum::disk(&body));
     out.extend_from_slice(&body);
     Ok(out)
 }
@@ -384,7 +380,7 @@ pub fn decode(bytes: &[u8], reg: &PacketRegistry) -> Result<RankCheckpoint, Chec
     if body.len() as u64 > body_len {
         return Err(CheckpointError::Malformed("trailing bytes after body"));
     }
-    let got = fnv1a(body);
+    let got = checksum::disk(body);
     if got != expected {
         return Err(CheckpointError::Checksum { expected, got });
     }

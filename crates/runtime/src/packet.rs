@@ -11,10 +11,16 @@
 //! hook, and a [`PacketRegistry`] on the receiving side turns tagged bodies
 //! back into packets. The wire form is a hand-rolled little-endian layout —
 //! `[tag: u32 LE][crc: u32 LE][codec body]` — with no serde and no
-//! self-description beyond the tag. The crc (FNV-1a over the body, mixed
-//! with the tag) means a corrupted payload is rejected as
+//! self-description beyond the tag. The crc is
+//! [`pulsar_fabric::checksum::wire`] over the body, mixed with the tag:
+//! any corruption confined to one aligned 4-byte word of the body (every
+//! single-bit flip, every single-byte change) is rejected as
 //! [`WireError::Checksum`] instead of silently decoding to wrong data.
+//! Ranks of different builds whose checksums disagree reject each other's
+//! packets with the same typed error, and so does a checkpoint file
+//! written by a build with another wire checksum.
 
+use pulsar_fabric::checksum;
 use pulsar_linalg::Matrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -253,14 +259,10 @@ impl PacketRegistry {
     }
 }
 
-/// FNV-1a over the body, mixed with the tag so the same bytes under a
-/// different tag do not collide.
+/// The wire checksum of the body, mixed with the tag so the same bytes
+/// under a different tag do not collide.
 fn body_checksum(tag: u32, body: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in body {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h ^ tag.wrapping_mul(0x9e37_79b9)
+    checksum::wire(body) ^ tag.wrapping_mul(0x9e37_79b9)
 }
 
 // ---- standard codecs (tags 1-15 reserved for the runtime) ----
@@ -289,11 +291,10 @@ impl PacketCodec for Matrix {
 /// little-endian. Public so application codecs (e.g. reflector payloads)
 /// can nest matrices in their own bodies.
 pub fn encode_matrix_body(m: &Matrix, out: &mut Vec<u8>) {
+    out.reserve(16 + 8 * m.data().len());
     out.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
     out.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
-    for &x in m.data() {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    out.extend(m.data().iter().flat_map(|x| x.to_le_bytes()));
 }
 
 /// Parse a matrix written by [`encode_matrix_body`] off the front of

@@ -7,14 +7,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use pulsar_runtime::{Packet, PacketRegistry, WireError};
 
-/// Mirror of the codec's checksum (FNV-1a over the body, mixed with the
-/// tag) so tests can hand-build valid `[tag][crc][body]` frames.
+/// Mirror of the codec's checksum (the fabric's wire checksum over the
+/// body, mixed with the tag) so tests can hand-build valid
+/// `[tag][crc][body]` frames.
 fn checksum(tag: u32, body: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in body {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h ^ tag.wrapping_mul(0x9e37_79b9)
+    pulsar_fabric::checksum::wire(body) ^ tag.wrapping_mul(0x9e37_79b9)
 }
 
 /// Build a wire buffer with a correct checksum for an arbitrary tag/body.
@@ -86,8 +83,9 @@ proptest! {
     fn flipped_bytes_are_always_detected(pos in 0usize..120, flip in 1u8..=255) {
         // Arbitrary single-byte corruption anywhere in the frame — tag,
         // checksum, or body — must surface as a typed error, never a panic
-        // and never a silently different matrix. (FNV-1a detects every
-        // single-byte flip: each mixing step is injective.)
+        // and never a silently different matrix. (The wire checksum
+        // detects every change confined to one 4-byte word: each lane's
+        // mixing step is injective.)
         let reg = PacketRegistry::standard();
         let t = pulsar_linalg::Matrix::from_fn(3, 4, |i, j| (i + 10 * j) as f64);
         let mut buf = Packet::tile(t).encode_wire().unwrap();

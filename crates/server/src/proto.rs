@@ -4,13 +4,19 @@
 //! length-prefixed frame whose header is a [`FrameKind::Data`] with the
 //! service *verb* as `wire_id` and the caller-chosen request id as `seq`
 //! (echoed unchanged in the reply). The body is `[crc u32 LE][payload]`
-//! where the checksum is FNV-1a over the payload, mixed with the verb and
-//! the request id — a frame cannot be replayed as a different verb, and a
-//! single flipped bit anywhere (header or body) is detected. Matrices ride
-//! inside payloads in the runtime's packet layout
+//! where the checksum is [`pulsar_fabric::checksum::wire`] over the
+//! payload, mixed with the verb and the request id — a frame cannot be
+//! replayed as a different verb. Any corruption confined to one aligned
+//! 4-byte word of the payload (in particular every single flipped bit or
+//! changed byte) is detected, and so is a single flipped bit in the
+//! header. Peers from builds whose wire checksums differ reject each
+//! other's frames with a typed error ([`ProtoError::Checksum`], answered
+//! by the server as [`ErrCode::Invalid`]), never with wrong data.
+//! Matrices ride inside payloads in the runtime's packet layout
 //! ([`encode_matrix_body`]/[`decode_matrix_body`]): `[nrows u64][ncols
 //! u64][column-major f64]`, all little-endian.
 
+use pulsar_fabric::checksum;
 use pulsar_fabric::frame::{
     decode_header, encode_header, FrameError, FrameHeader, FrameKind, HEADER_LEN,
 };
@@ -479,34 +485,61 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// FNV-1a over the payload, mixed with the verb and request id so a frame
-/// cannot be replayed as a different verb or request. Same constants as
-/// the runtime packet codec.
+/// The wire checksum of the payload, mixed with the verb and request id
+/// so a frame cannot be replayed as a different verb or request. Same
+/// checksum as the runtime packet codec.
 fn service_crc(verb: u32, seq: u64, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in payload {
-        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
-    }
-    h ^= verb.wrapping_mul(0x9e37_79b9);
+    let h = checksum::wire(payload) ^ verb.wrapping_mul(0x9e37_79b9);
     h ^ (seq as u32) ^ ((seq >> 32) as u32)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where [`write_payload`] puts a payload: a byte counter sizes the frame
+/// exactly, then the frame buffer receives the bytes. One layout
+/// description serves both passes, so they cannot disagree.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    fn matrix(&mut self, m: &Matrix);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+
+    fn matrix(&mut self, m: &Matrix) {
+        *self += 16 + 8 * m.data().len();
+    }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn matrix(&mut self, m: &Matrix) {
+        encode_matrix_body(m, self);
+    }
+}
+
+fn put_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
+}
+
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut impl Sink, s: &str) {
     put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
-/// Encode one message as a complete wire frame (header + body).
-pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// Write `msg`'s payload (everything after the checksum) to `out`.
+fn write_payload(msg: &Msg, out: &mut impl Sink) {
     match msg {
         Msg::Submit {
             nb,
@@ -517,83 +550,83 @@ pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
             tree,
             a,
         } => {
-            put_u32(&mut payload, *nb);
-            put_u32(&mut payload, *ib);
-            put_u32(&mut payload, *deadline_ms);
-            payload.push(u8::from(*keep));
-            put_u64(&mut payload, *idem);
-            put_str(&mut payload, tree);
-            encode_matrix_body(a, &mut payload);
+            put_u32(out, *nb);
+            put_u32(out, *ib);
+            put_u32(out, *deadline_ms);
+            put_u8(out, u8::from(*keep));
+            put_u64(out, *idem);
+            put_str(out, tree);
+            out.matrix(a);
         }
         Msg::SubmitOk { job } | Msg::Status { job } | Msg::Result { job } | Msg::Cancel { job } => {
-            put_u64(&mut payload, *job);
+            put_u64(out, *job);
         }
         Msg::Reject {
             draining,
             retry_after_ms,
             queued,
         } => {
-            payload.push(u8::from(*draining));
-            put_u32(&mut payload, *retry_after_ms);
-            put_u32(&mut payload, *queued);
+            put_u8(out, u8::from(*draining));
+            put_u32(out, *retry_after_ms);
+            put_u32(out, *queued);
         }
         Msg::State {
             job,
             state,
             queue_pos,
         } => {
-            put_u64(&mut payload, *job);
-            payload.push(state.to_wire());
-            put_u32(&mut payload, *queue_pos);
+            put_u64(out, *job);
+            put_u8(out, state.to_wire());
+            put_u32(out, *queue_pos);
         }
         Msg::RFactor { job, r } => {
-            put_u64(&mut payload, *job);
-            encode_matrix_body(r, &mut payload);
+            put_u64(out, *job);
+            out.matrix(r);
         }
         Msg::CancelOk { job, cancelled } => {
-            put_u64(&mut payload, *job);
-            payload.push(u8::from(*cancelled));
+            put_u64(out, *job);
+            put_u8(out, u8::from(*cancelled));
         }
         Msg::Drain => {}
-        Msg::Drained { stats } => put_str(&mut payload, stats),
+        Msg::Drained { stats } => put_str(out, stats),
         Msg::Error { job, code, msg } => {
-            put_u64(&mut payload, *job);
-            payload.push(code.to_wire());
-            put_str(&mut payload, msg);
+            put_u64(out, *job);
+            put_u8(out, code.to_wire());
+            put_str(out, msg);
         }
         Msg::Solve { handle, b } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(b, &mut payload);
+            put_u64(out, *handle);
+            out.matrix(b);
         }
         Msg::Solution { handle, x } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(x, &mut payload);
+            put_u64(out, *handle);
+            out.matrix(x);
         }
         Msg::ApplyQ {
             handle,
             transpose,
             b,
         } => {
-            put_u64(&mut payload, *handle);
-            payload.push(u8::from(*transpose));
-            encode_matrix_body(b, &mut payload);
+            put_u64(out, *handle);
+            put_u8(out, u8::from(*transpose));
+            out.matrix(b);
         }
         Msg::QApplied { handle, c } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(c, &mut payload);
+            put_u64(out, *handle);
+            out.matrix(c);
         }
         Msg::Update { handle, e } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(e, &mut payload);
+            put_u64(out, *handle);
+            out.matrix(e);
         }
         Msg::Updated { handle, rows } => {
-            put_u64(&mut payload, *handle);
-            put_u64(&mut payload, *rows);
+            put_u64(out, *handle);
+            put_u64(out, *rows);
         }
-        Msg::Release { handle } => put_u64(&mut payload, *handle),
+        Msg::Release { handle } => put_u64(out, *handle),
         Msg::Released { handle, released } => {
-            put_u64(&mut payload, *handle);
-            payload.push(u8::from(*released));
+            put_u64(out, *handle);
+            put_u8(out, u8::from(*released));
         }
         Msg::Join {
             addr,
@@ -601,31 +634,39 @@ pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
             store_bytes,
             gemm_tier,
         } => {
-            put_str(&mut payload, addr);
-            put_u32(&mut payload, *threads);
-            put_u64(&mut payload, *store_bytes);
-            put_str(&mut payload, gemm_tier);
+            put_str(out, addr);
+            put_u32(out, *threads);
+            put_u64(out, *store_bytes);
+            put_str(out, gemm_tier);
         }
-        Msg::JoinOk { node_id } => put_u32(&mut payload, *node_id),
-        Msg::Leave { node_id } => put_u32(&mut payload, *node_id),
+        Msg::JoinOk { node_id } => put_u32(out, *node_id),
+        Msg::Leave { node_id } => put_u32(out, *node_id),
         Msg::LeaveOk { node_id, left } => {
-            put_u32(&mut payload, *node_id);
-            payload.push(u8::from(*left));
+            put_u32(out, *node_id);
+            put_u8(out, u8::from(*left));
         }
-        Msg::Ping { nonce } => put_u64(&mut payload, *nonce),
+        Msg::Ping { nonce } => put_u64(out, *nonce),
         Msg::Pong {
             nonce,
             queued,
             running,
         } => {
-            put_u64(&mut payload, *nonce);
-            put_u32(&mut payload, *queued);
-            put_u32(&mut payload, *running);
+            put_u64(out, *nonce);
+            put_u32(out, *queued);
+            put_u32(out, *running);
         }
     }
+}
+
+/// Encode one message as a complete wire frame (header + body), built in
+/// one buffer of exactly the frame's size: the payload is sized first,
+/// written after the header and a checksum placeholder, and checksummed
+/// in place.
+pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
+    let mut payload_len = 0usize;
+    write_payload(msg, &mut payload_len);
     let verb = msg.verb();
-    let crc = service_crc(verb, seq, &payload);
-    let body_len = 4 + payload.len();
+    let body_len = 4 + payload_len;
     assert!(
         body_len <= MAX_SERVICE_BODY,
         "service message of {body_len} bytes exceeds MAX_SERVICE_BODY"
@@ -638,8 +679,11 @@ pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
     };
     let mut out = Vec::with_capacity(HEADER_LEN + body_len);
     out.extend_from_slice(&encode_header(&header));
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0u8; 4]); // crc placeholder
+    write_payload(msg, &mut out);
+    debug_assert_eq!(out.len(), HEADER_LEN + body_len, "payload sizing drifted");
+    let crc = service_crc(verb, seq, &out[HEADER_LEN + 4..]);
+    out[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&crc.to_le_bytes());
     out
 }
 

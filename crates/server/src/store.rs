@@ -32,6 +32,7 @@
 
 use parking_lot::Mutex;
 use pulsar_core::{Reflectors, TileQrFactors};
+use pulsar_fabric::checksum;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body, PacketCodec};
 use std::collections::{BTreeMap, HashMap};
@@ -441,19 +442,10 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// FNV-1a, the same checksum the runtime's checkpoint files use.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Record checksum binds the body to its kind and handle, so a record
 /// cannot be replayed under another identity.
 fn record_crc(kind: u8, handle: u64, body: &[u8]) -> u32 {
-    fnv1a(body)
+    checksum::disk(body)
         ^ (kind as u32).wrapping_mul(0x9e37_79b9)
         ^ (handle as u32)
         ^ ((handle >> 32) as u32)
@@ -715,7 +707,7 @@ impl DurableLog {
         out.extend_from_slice(&SNAP_MAGIC);
         out.extend_from_slice(&DURABLE_VERSION.to_le_bytes());
         put_u64(&mut out, body.len() as u64);
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        out.extend_from_slice(&checksum::disk(&body).to_le_bytes());
         out.extend_from_slice(&body);
         let tmp = self.dir.join("factors.snap.tmp");
         {
@@ -804,7 +796,7 @@ fn read_snapshot(path: &Path) -> Result<Vec<(u64, TileQrFactors)>, WalError> {
     if body.len() != body_len {
         return Err(WalError::Malformed("snapshot length mismatch"));
     }
-    if fnv1a(body) != crc {
+    if checksum::disk(body) != crc {
         return Err(WalError::Checksum);
     }
     let mut r = SliceReader(body);

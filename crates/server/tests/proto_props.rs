@@ -256,3 +256,45 @@ proptest! {
         let _ = decode_msg(&bytes);
     }
 }
+
+#[test]
+fn multi_mib_submit_round_trips_and_every_probed_bit_flip_is_caught() {
+    // 512 x 256 f64 = 1 MiB of matrix data: the frame crosses many
+    // checksum blocks and ends in a partial one (the string and flag
+    // fields leave the payload unaligned).
+    let a = Matrix::from_fn(512, 256, |i, j| (i as f64) * 0.5 - (j as f64) * 1e-3);
+    let msg = Msg::Submit {
+        nb: 128,
+        ib: 32,
+        deadline_ms: 0,
+        keep: false,
+        idem: 0xfeed,
+        tree: "hier:4".into(),
+        a,
+    };
+    let seq = 0x0123_4567_89ab_cdef;
+    let mut wire = encode_msg(&msg, seq);
+    assert!(wire.len() > 1 << 20);
+    // One exactly-sized buffer: no slack left by payload growth.
+    assert_eq!(wire.capacity(), wire.len());
+    let (back, rseq) = decode_msg(&wire).expect("encoded frame decodes");
+    assert_eq!(back, msg);
+    assert_eq!(rseq, seq);
+
+    // Flip one bit at a spread of offsets: every header, checksum and
+    // leading payload byte, a sweep through the matrix body, and the
+    // final (tail) bytes.
+    let len = wire.len();
+    let mut positions: Vec<usize> = (0..40).collect();
+    positions.extend((0..32).map(|k| 40 + k * (len - 48) / 32));
+    positions.extend(len - 8..len);
+    for pos in positions {
+        let bit = pos % 8;
+        wire[pos] ^= 1 << bit;
+        assert!(
+            decode_msg(&wire).is_err(),
+            "flipping bit {bit} of byte {pos} of a {len}-byte frame went undetected"
+        );
+        wire[pos] ^= 1 << bit;
+    }
+}

@@ -50,6 +50,10 @@ if [ "${SERVE:-0}" = "1" ]; then
         --nb 16 --tree binary --seed 9
     ./target/release/pulsar-qr submit --addr "$addr" --rows 256 --cols 64 \
         --nb 8 --cancel true
+    # A multi-MiB request frame (2048x512 f64 = 8 MiB) on the paper's
+    # hier:4 tree: the wire checksum and frame codec at full size.
+    ./target/release/pulsar-qr submit --addr "$addr" --rows 2048 --cols 512 \
+        --nb 128 --ib 32 --tree hier:4
     # Factor-store verbs: keep a factorization, then solve / apply-q /
     # stream rows against its handle (each self-verifies its oracle).
     keep_out=$(./target/release/pulsar-qr submit --addr "$addr" --rows 96 \
@@ -78,7 +82,8 @@ fi
 
 # Optional: CHAOS=1 ./scripts/check.sh widens the fault-injection suite to a
 # larger seed sweep (CHAOS_SWEEP seeds of drop/delay/corrupt/truncate chaos
-# against real QR runs; see tests/chaos.rs) and proves kill -> resume
+# against real QR runs; see tests/chaos.rs), loops the fabric's
+# barrier-cancel test 200 times, and proves kill -> resume
 # end-to-end through the real binary: a 3-rank TCP run with periodic
 # checkpoints is crashed via the fault injector, then `resume` must finish
 # it from the surviving epoch with exit code 0 (R verified bit-identical
@@ -86,6 +91,20 @@ fi
 if [ "${CHAOS:-0}" = "1" ]; then
     CHAOS_SWEEP="${CHAOS_SWEEP:-16}" \
         cargo test --offline -p pulsar --test chaos -- --nocapture
+    # The barrier-cancel race (a write to a peer that already aborted must
+    # classify as PeerClosed, never as a raw I/O error) must hold every
+    # time, not most of the time: 200 runs in a row.
+    bc_out=$(mktemp)
+    for i in $(seq 1 200); do
+        cargo test --offline -q -p pulsar-fabric --test barrier_cancel \
+            > "$bc_out" 2>&1 || {
+            cat "$bc_out" >&2
+            echo "CHAOS barrier-cancel: run $i of 200 failed" >&2
+            exit 1
+        }
+    done
+    rm -f "$bc_out"
+    echo "CHAOS barrier-cancel x200: ok"
     ckpt_dir=$(mktemp -d)
     if ./target/release/pulsar-qr launch --nodes 3 --rows 288 --cols 72 \
         --nb 8 --heartbeat-ms 50 --checkpoint-dir "$ckpt_dir" \
