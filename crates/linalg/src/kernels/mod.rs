@@ -10,6 +10,7 @@
 //! | [`tsmqr`]            | apply a `tsqrt` transformation to two stacked tiles |
 //! | [`ttqrt`]            | incremental QR of a triangle stacked on a triangle |
 //! | [`ttmqr`]            | apply a `ttqrt` transformation to two stacked tiles |
+//! | [`apply_narrow`]     | apply any of the three stored transformations to an operand of a few columns in place (solves, `apply-q`): SIMD along rows, no padded copies |
 //!
 //! All kernels use inner blocking with block size `ib` and store the
 //! block-reflector factors in a `ib x n` matrix `t`: the `T` factor of the
@@ -31,10 +32,12 @@
 
 pub mod cholesky;
 mod geqrt;
+mod narrow;
 mod tsqrt;
 mod ttqrt;
 
 pub use geqrt::{geqrt, geqrt_ws, unmqr, unmqr_ws};
+pub use narrow::{apply_narrow, VShape, NARROW_MAX};
 pub use tsqrt::{tsmqr, tsmqr_ws, tsqrt, tsqrt_ws};
 pub use ttqrt::{ttmqr, ttmqr_ws, ttqrt, ttqrt_ws};
 

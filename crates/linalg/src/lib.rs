@@ -25,8 +25,8 @@ pub mod verify;
 pub mod workspace;
 
 pub use kernels::{
-    geqrt, geqrt_ws, set_panel_ib, tsmqr, tsmqr_ws, tsqrt, tsqrt_ws, ttmqr, ttmqr_ws, ttqrt,
-    ttqrt_ws, unmqr, unmqr_ws, ApplyTrans,
+    apply_narrow, geqrt, geqrt_ws, set_panel_ib, tsmqr, tsmqr_ws, tsqrt, tsqrt_ws, ttmqr, ttmqr_ws,
+    ttqrt, ttqrt_ws, unmqr, unmqr_ws, ApplyTrans,
 };
 pub use matrix::Matrix;
 pub use solve::{back_substitute, SolveError};

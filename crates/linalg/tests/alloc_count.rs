@@ -191,13 +191,15 @@ fn two_consecutive_jobs_share_a_warm_workspace_alloc_free() {
 
 #[test]
 fn warm_solve_on_cached_factors_is_alloc_free() {
-    // The serve daemon's `solve` verb against a stored handle: V/T and R
-    // already live in the factor store, the right-hand side arrives off
-    // the wire, and the only arithmetic is Q^T·b (unmqr + tsmqr chain)
-    // followed by back-substitution. Model that hot path exactly: factor
-    // a 4-tile-row single-column matrix once (setup, allocation allowed),
-    // then run the solve pass twice against preallocated b tiles — the
-    // second pass must never hit the allocator.
+    // A solve against stored factors through the tile kernels: V/T and R
+    // already exist, the right-hand side arrives split into row tiles,
+    // and the only arithmetic is Q^T·b (unmqr + tsmqr chain) followed by
+    // back-substitution. Factor a 4-tile-row single-column matrix once
+    // (setup, allocation allowed), then run the solve pass twice against
+    // preallocated b tiles — the second pass must never hit the
+    // allocator. (The service's own solve path, which sends narrow
+    // right-hand sides through `apply_narrow`, is counted in
+    // `crates/core/tests/solve_alloc.rs`.)
     const K: usize = 2; // right-hand sides
     const ROWS: usize = 4; // tile rows
     let mut rng = StdRng::seed_from_u64(5);

@@ -22,6 +22,7 @@ pub mod placement;
 
 use crate::client::{Client, ClientError};
 use crate::proto::{self, ErrCode, JobState, Msg};
+use crate::service::ensure_finite;
 use ledger::{Assignment, Entry, Ledger, Outcome};
 use membership::{Caps, Health, Membership};
 use parking_lot::{Condvar, Mutex};
@@ -984,7 +985,12 @@ fn validate_job(a: &Matrix, opts: &QrOptions) -> Result<(), String> {
             opts.nb
         ));
     }
-    Ok(())
+    ensure_finite("matrix", a)
+}
+
+/// The handle verbs' operand check, run before the hop to the owner.
+fn finite(what: &str, m: &Matrix) -> Result<(), (ErrCode, String)> {
+    ensure_finite(what, m).map_err(|msg| (ErrCode::Invalid, msg))
 }
 
 /// Run one dispatch against a worker: submit under the ledger's idem key
@@ -1202,7 +1208,9 @@ fn dispatch_route(router: &Arc<Router>, msg: Msg) -> Msg {
             cancelled: router.cancel(job),
         },
         Msg::Solve { handle, b } => {
-            match router.with_owner(handle, |c, remote| c.solve(remote, &b)) {
+            match finite("rhs", &b)
+                .and_then(|()| router.with_owner(handle, |c, remote| c.solve(remote, &b)))
+            {
                 Ok(x) => Msg::Solution { handle, x },
                 Err(e) => typed_err(handle, e),
             }
@@ -1211,12 +1219,16 @@ fn dispatch_route(router: &Arc<Router>, msg: Msg) -> Msg {
             handle,
             transpose,
             b,
-        } => match router.with_owner(handle, |c, remote| c.apply_q(remote, &b, transpose)) {
+        } => match finite("operand", &b)
+            .and_then(|()| router.with_owner(handle, |c, remote| c.apply_q(remote, &b, transpose)))
+        {
             Ok(c) => Msg::QApplied { handle, c },
             Err(e) => typed_err(handle, e),
         },
         Msg::Update { handle, e } => {
-            match router.with_owner(handle, |c, remote| c.update(remote, &e)) {
+            match finite("appended rows", &e)
+                .and_then(|()| router.with_owner(handle, |c, remote| c.update(remote, &e)))
+            {
                 Ok(rows) => Msg::Updated { handle, rows },
                 Err(err) => typed_err(handle, err),
             }

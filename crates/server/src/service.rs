@@ -1143,8 +1143,9 @@ impl Drop for Service {
 /// Refuse a non-finite operand at admission. One NaN or Inf spreads
 /// through every reflector it touches, so a factorization (or solve, or
 /// update) fed one would "succeed" with garbage — and with `keep` the
-/// garbage would be stored and charged to the budget.
-fn ensure_finite(what: &str, m: &Matrix) -> Result<(), String> {
+/// garbage would be stored and charged to the budget. The router runs the
+/// same check before it places or forwards anything.
+pub(crate) fn ensure_finite(what: &str, m: &Matrix) -> Result<(), String> {
     // Branch-free within each chunk so the scan vectorizes: it reads every
     // admitted operand, 8 MiB for a 2048 x 512 submit.
     let data = m.data();

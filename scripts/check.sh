@@ -10,12 +10,15 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --offline --workspace --release
 cargo test --offline --workspace -q
 
-# The linalg suite again under each forcible GEMM microkernel tier, so a
-# bug in one tier's microkernel cannot hide behind runtime dispatch picking
-# another. The env override clamps to what the CPU supports, so these runs
-# are safe (if degenerate) on hosts without the wider ISA.
+# The linalg suite and the core narrow-vs-wide apply equivalence again
+# under each forcible tier (GEMM microkernel and narrow Q-apply kernel), so
+# a bug in one tier cannot hide behind runtime dispatch picking another.
+# The env override clamps to what the CPU supports, so these runs are safe
+# (if degenerate) on hosts without the wider ISA.
 PULSAR_GEMM_TIER=scalar cargo test --offline -p pulsar-linalg -q
 PULSAR_GEMM_TIER=avx2 cargo test --offline -p pulsar-linalg -q
+PULSAR_GEMM_TIER=scalar cargo test --offline -p pulsar-core --test narrow_apply -q
+PULSAR_GEMM_TIER=avx2 cargo test --offline -p pulsar-core --test narrow_apply -q
 
 # Optional: BENCH=1 ./scripts/check.sh also smoke-runs the kernel bench
 # harness (few samples), refreshes BENCH_kernels.json, runs the
