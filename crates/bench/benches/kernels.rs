@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-const SIZES: &[usize] = &[48, 96, 192];
+const SIZES: &[usize] = &[32, 48, 96, 128, 192];
 
 fn bench_dgemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);

@@ -314,10 +314,28 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Dot product on slices.
+///
+/// Eight independent partial sums over 8-element chunks, folded pairwise in
+/// a fixed order, then the remainder in sequence: the chunk loop
+/// vectorizes and overlaps the add latency, where one strict-order sum
+/// would be a single serial add chain. The order depends only on the
+/// length, so the result is deterministic.
 #[inline]
 pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    let (xc, yc) = (x.chunks_exact(8), y.chunks_exact(8));
+    let (xr, yr) = (xc.remainder(), yc.remainder());
+    let mut acc = [0.0f64; 8];
+    for (xs, ys) in xc.zip(yc) {
+        for ((a, xv), yv) in acc.iter_mut().zip(xs).zip(ys) {
+            *a += xv * yv;
+        }
+    }
+    let mut s = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    for (a, b) in xr.iter().zip(yr) {
+        s += a * b;
+    }
+    s
 }
 
 /// Euclidean norm of a slice.

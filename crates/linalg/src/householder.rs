@@ -17,18 +17,26 @@ use crate::matrix::Matrix;
 /// Returns `(beta, tau)`. When `x` is already zero, `tau == 0` and the
 /// reflector is the identity.
 pub fn dlarfg(alpha: f64, x: &mut [f64]) -> (f64, f64) {
-    let xnorm = dnrm2(x);
-    if xnorm == 0.0 {
+    let Some((beta, tau, scale)) = larfg_scalars(alpha, dnrm2(x)) else {
         return (alpha, 0.0);
-    }
-    // beta = -sign(alpha) * ||[alpha; x]||, computed stably.
-    let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
+    };
     for xi in x.iter_mut() {
         *xi *= scale;
     }
     (beta, tau)
+}
+
+/// The scalars of the [`dlarfg`] reflector for pivot `alpha` and tail norm
+/// `xnorm`: `(beta, tau, scale)`, the tail to be multiplied by `scale`.
+/// `None` when the tail is zero (the reflector is the identity).
+pub(crate) fn larfg_scalars(alpha: f64, xnorm: f64) -> Option<(f64, f64, f64)> {
+    if xnorm == 0.0 {
+        return None;
+    }
+    // beta = -sign(alpha) * ||[alpha; x]||, computed stably.
+    let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
+    let tau = (beta - alpha) / beta;
+    Some((beta, tau, 1.0 / (alpha - beta)))
 }
 
 /// Apply the elementary reflector `H = I - tau * v * v^T` from the left to

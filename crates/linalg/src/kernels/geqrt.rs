@@ -1,16 +1,15 @@
 //! `geqrt` (tile QR) and `unmqr` (apply tile Q), with inner blocking.
 //!
-//! The panel factorization is itself blocked: each `ib`-wide inner block is
-//! factored in sub-panels of width [`super::PANEL_IB`], so scalar
-//! Householder loops only ever touch a sub-panel — the rest of the block
+//! The panel factorization is itself blocked: a wide `ib`-wide inner block
+//! is factored in sub-panels of width [`super::PANEL_IB`], so the
+//! Householder sweep only ever touches a sub-panel — the rest of the block
 //! and the trailing tile columns are updated through the zero-padded
-//! pure-GEMM block apply, and all `T` factors come from a Gram GEMM.
+//! pure-GEMM block apply, and all `T` factors come from the `V̂` Gram.
 
+use super::sweep::{householder_sweep, Heads};
 use super::{
     apply_tile_block, form_block_t, inner_blocks, pad_tile_v, sub_panel_width, ApplyTrans,
 };
-use crate::blas::ddot;
-use crate::householder::dlarfg;
 use crate::matrix::Matrix;
 use crate::workspace::{grow, with_thread_workspace, Workspace};
 
@@ -40,35 +39,20 @@ pub fn geqrt_ws(a: &mut Matrix, t: &mut Matrix, ib: usize, ws: &mut Workspace) {
     let taus = grow(&mut ws.taus, k);
 
     for (jb, ibb) in inner_blocks(k, ib, ApplyTrans::Trans) {
-        // Blocked panel factorization: scalar Householder work confined to
+        // Blocked panel factorization: the Householder sweep confined to
         // `pib`-wide sub-panels, each applied to the rest of the block via
-        // the padded-GEMM block apply. Narrow blocks stay one scalar panel.
+        // the padded-GEMM block apply. Narrow blocks stay one sweep.
         let pib = sub_panel_width(ibb);
         for (p0l, pw) in inner_blocks(ibb, pib, ApplyTrans::Trans) {
             let p0 = jb + p0l;
-            for j in p0..p0 + pw {
-                let (beta, tau) = {
-                    let col = a.col_mut(j);
-                    let (head, tail) = col.split_at_mut(j + 1);
-                    dlarfg(head[j], tail)
-                };
-                a[(j, j)] = beta;
-                taus[j] = tau;
-                if tau == 0.0 {
-                    continue;
-                }
-                // Apply H_j to the remaining sub-panel columns j+1..p0+pw.
-                for c in j + 1..p0 + pw {
-                    let (colj, colc) = a.two_cols_mut(j, c);
-                    let vtail = &colj[j + 1..m];
-                    let seg = &mut colc[j..m];
-                    let w = tau * (seg[0] + ddot(vtail, &seg[1..]));
-                    seg[0] -= w;
-                    for (s, v) in seg[1..].iter_mut().zip(vtail) {
-                        *s -= w * v;
-                    }
-                }
-            }
+            let cols = p0..p0 + pw;
+            householder_sweep(
+                a.data_mut(),
+                m,
+                Heads::Diagonal,
+                cols,
+                &mut taus[p0..p0 + pw],
+            );
             // Apply the finished sub-panel to the rest of this inner block.
             if p0 + pw < jb + ibb {
                 let (vpart, cpart) = a.split_cols_mut(p0 + pw);
@@ -83,7 +67,6 @@ pub fn geqrt_ws(a: &mut Matrix, t: &mut Matrix, ib: usize, ws: &mut Workspace) {
                     pw,
                     0,
                     &mut ws.tgram,
-                    &mut ws.gemm,
                 );
                 apply_tile_block(
                     &ws.vpad[..rows * pw],
@@ -104,8 +87,8 @@ pub fn geqrt_ws(a: &mut Matrix, t: &mut Matrix, ib: usize, ws: &mut Workspace) {
             }
         }
 
-        // Form the block's T factor (Gram GEMM + triangular recurrence on
-        // the padded V̂ copy, which the trailing apply then reuses).
+        // Form the block's T factor (Gram + triangular recurrence on the
+        // padded V̂ copy, which the trailing apply then reuses).
         let t_ld = t.nrows();
         let rows = pad_tile_v(a.data(), m, jb, ibb, &mut ws.vpad);
         form_block_t(
@@ -118,7 +101,6 @@ pub fn geqrt_ws(a: &mut Matrix, t: &mut Matrix, ib: usize, ws: &mut Workspace) {
             t_ld,
             jb,
             &mut ws.tgram,
-            &mut ws.gemm,
         );
 
         // Apply the block reflector (transposed) to the trailing columns.

@@ -4,11 +4,11 @@
 //!
 //! | kernel               | role |
 //! |----------------------|------|
-//! | [`geqrt`]            | QR of a tile; R in the upper triangle, reflectors below, `T` factors on the side |
+//! | [`geqrt`]            | QR of a tile; R in the upper triangle, reflectors below, `T` factors on the side. Sweep heads: the diagonal; tails: the rows below it |
 //! | [`unmqr`]            | apply a `geqrt` transformation to a tile of the trailing submatrix |
-//! | [`tsqrt`]            | incremental QR of a triangle stacked on a full tile |
+//! | [`tsqrt`]            | incremental QR of a triangle stacked on a full tile. Sweep heads: the triangle's diagonal; tails: whole columns |
 //! | [`tsmqr`]            | apply a `tsqrt` transformation to two stacked tiles |
-//! | [`ttqrt`]            | incremental QR of a triangle stacked on a triangle |
+//! | [`ttqrt`]            | incremental QR of a triangle stacked on a triangle. Sweep heads: as `tsqrt`; tails: the staircase, its ragged end a masked chunk |
 //! | [`ttmqr`]            | apply a `ttqrt` transformation to two stacked tiles |
 //! | [`apply_narrow`]     | apply any of the three stored transformations to an operand of a few columns in place (solves, `apply-q`): SIMD along rows, no padded copies |
 //!
@@ -18,21 +18,28 @@
 //! (upper triangular, `ibb = min(ib, n - jb)`).
 //!
 //! The factorizations themselves are blocked twice: each `ib`-wide panel is
-//! factored in sub-panels of width [`PANEL_IB`] (override with
-//! [`set_panel_ib`]), where only the current sub-panel runs scalar
-//! Householder loops — the finished sub-panel is applied to the rest of its
-//! panel through the same GEMM-shaped block apply the trailing update uses,
-//! and the `T` factors come from a `V̂^T V̂` Gram GEMM plus a small
-//! triangular recurrence. Ragged reflector shapes (the unit-triangle heads
-//! of `geqrt`, the staircase tails of `ttqrt`) are zero-padded into dense
-//! `V̂` copies so every apply is two GEMMs — the padded lanes contribute
-//! exact zeros, so results are unchanged. Each kernel has a `*_ws` variant
-//! taking an explicit [`Workspace`] (allocation-free in steady state); the
-//! plain names borrow the thread-local workspace.
+//! factored in sub-panels (one sub-panel up to `2 * PANEL_IB + 1` columns,
+//! [`PANEL_IB`]-wide ones above that; override with [`set_panel_ib`]).
+//! Inside a sub-panel a Householder sweep generates each reflector and
+//! applies it to the sub-panel columns right of it — on the narrow kernel's
+//! SIMD lanes (`sweep.rs`): one row-vectorized pass takes the dots for 8
+//! target columns at once, a second does their rank-1 update, and the
+//! reflector norm runs on the same lanes. The finished sub-panel is applied
+//! to the rest of its panel through the same GEMM-shaped block apply the
+//! trailing update uses, and the `T` factors come from the `V̂^T V̂` Gram
+//! (on the same lanes) plus a triangular recurrence. Ragged reflector shapes (the
+//! unit-triangle heads of `geqrt`, the staircase tails of `ttqrt`) are
+//! zero-padded into dense `V̂` copies so every apply is two GEMMs — the
+//! padded lanes contribute exact zeros, so results are unchanged. Each
+//! kernel has a `*_ws` variant taking an explicit [`Workspace`]
+//! (allocation-free in steady state); the plain names borrow the
+//! thread-local workspace.
 
 pub mod cholesky;
 mod geqrt;
+mod lanes;
 mod narrow;
+mod sweep;
 mod tsqrt;
 mod ttqrt;
 
@@ -48,6 +55,7 @@ use crate::gemm::{gemm_into, GemmScratch, MatMut, MatRef};
 use crate::matrix::Matrix;
 use crate::workspace::grow;
 use std::cell::Cell;
+use sweep::gram_upper;
 
 /// Which operator to apply in the `*mqr` kernels.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -58,17 +66,15 @@ pub enum ApplyTrans {
     Trans,
 }
 
-/// Default sub-panel width of the blocked panel factorizations: within each
-/// `ib`-wide inner block, only `PANEL_IB` columns at a time are factored
-/// with scalar Householder loops; everything wider goes through GEMM. 16
-/// matches the microkernel's full MR tile, so the `V̂^T C` sub-panel
-/// GEMMs run unmasked.
-pub(crate) const PANEL_IB: usize = 16;
-
-/// Column-block width of the T-recurrence lift and the Gram floor inside
-/// [`form_block_t`]: small enough that the per-block scalar recurrence
-/// stays negligible, big enough that the lift GEMMs aren't degenerate.
-const T_BLOCK_IB: usize = 8;
+/// Default sub-panel width of the blocked panel factorizations: an inner
+/// block wider than `2 * PANEL_IB + 1` is factored `PANEL_IB` columns at a
+/// time by the Householder sweep, and everything wider goes through GEMM;
+/// narrower blocks are one sweep. A multiple of every microkernel MR, so
+/// the `V̂^T C` sub-panel GEMMs run unmasked. Set from a sweep of
+/// sub-panel widths 16, 32 and the whole block over `(nb, ib)` from
+/// (128, 32) to (384, 96) on the AVX-512 tier: one sweep was fastest up to
+/// `ib = 48`, level at 64, and sub-panels won at 96 (DESIGN.md §8).
+pub(crate) const PANEL_IB: usize = 32;
 
 thread_local! {
     static PANEL_IB_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -90,9 +96,9 @@ pub(crate) fn panel_ib() -> usize {
 
 /// Sub-panel width used to factor an `ibb`-wide inner block: the thread's
 /// [`panel_ib`] when the block is wide enough for the pad/Gram/apply
-/// machinery to amortize, the full block width otherwise (one scalar
-/// panel — the fastest shape for small `ib`, where splitting only adds
-/// copies and tiny GEMMs).
+/// machinery to amortize, the full block width otherwise (one sweep — the
+/// fastest shape up to `2 * PANEL_IB + 1` columns, where splitting only adds
+/// copies and small GEMMs).
 pub(crate) fn sub_panel_width(ibb: usize) -> usize {
     let pib = panel_ib();
     if ibb / 2 > pib {
@@ -215,13 +221,13 @@ pub(crate) fn apply_t_block<'s>(
 /// explicit for in-tile blocks, absent for stacked blocks whose heads live
 /// in a separate identity part).
 ///
-/// The cross products come from one Gram GEMM `G = V̂^T V̂` (`gram`
-/// scratch); the dlarft recurrence is then blocked over the `ibb x ibb`
-/// triangle: a scalar recurrence on each `T_BLOCK_IB`-wide diagonal block
-/// `T22`, followed by a GEMM lift `T12 = -T11 (V1^T V2) T22` for the rows
-/// above it (the cross Gram `V1^T V2` is already sitting in `g`). The
-/// result goes to columns `t_col0..t_col0+ibb` of the flat column-major
-/// buffer `t` (leading dimension `t_ld`).
+/// The cross products `V̂^T V̂` come from [`gram_upper`] on the sweep's
+/// lanes (`gram` scratch); the dlarft recurrence then builds `T` one column
+/// at a time, `T[0..j, j] = -tau_j T[0..j, 0..j] (V̂^T v̂_j)`, the
+/// triangular product as one axpy per column of `T` (contiguous, so it
+/// vectorizes). Its `ibb^3 / 6` multiply-adds stay below the Gram's
+/// `ibb^2 rows / 2`. The result goes to columns `t_col0..t_col0+ibb` of the
+/// flat column-major buffer `t` (leading dimension `t_ld`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn form_block_t(
     vhat: &[f64],
@@ -233,117 +239,29 @@ pub(crate) fn form_block_t(
     t_ld: usize,
     t_col0: usize,
     gram: &mut Vec<f64>,
-    gemm: &mut GemmScratch,
 ) {
-    if ibb == 0 {
-        return;
-    }
-    let tq = T_BLOCK_IB;
-    // Narrow blocks (`ibb < 2 * tq`, e.g. small-`ib` tiles) skip both the
-    // Gram GEMM and the recurrence lift: at that size the GEMMs fall under
-    // the packed threshold and run generic full-rectangle loops, losing to
-    // plain triangular dots.
-    let narrow = ibb < 2 * tq;
-    let lift = !narrow && ibb > tq;
-    // Scratch layout: Gram `g` (ibb^2), then — only when lifting — dense
-    // zero-padded copies `t11d` (ibb^2) and `t22d` (tq^2) of the triangular
-    // factors plus the `tmp` product (ibb*tq). The dense copies exist
-    // because `t`'s sub-diagonal is caller-owned (possibly dirty) and GEMM
-    // can't honor triangular structure.
-    let want = if lift {
-        2 * ibb * ibb + tq * tq + ibb * tq
-    } else {
-        ibb * ibb
-    };
-    let buf = grow(gram, want);
-    let (g, dense) = buf.split_at_mut(ibb * ibb);
-    if rows > 0 && ibb > 1 {
-        if narrow {
-            // Upper triangle only, by plain dots over the columns.
-            for lj in 1..ibb {
-                let vj = &vhat[lj * v_ld..][..rows];
-                for li in 0..lj {
-                    g[li + lj * ibb] = ddot(&vhat[li * v_ld..][..rows], vj);
-                }
-            }
-        } else {
-            // The recurrence only reads the upper triangle `g[li, lj]`,
-            // `li < lj`, so form the Gram in column blocks: each block of
-            // columns `b0..b0+bw` needs rows `0..b0+bw` only. Two halves is
-            // the sweet spot — narrower blocks save more flops but the
-            // skinny GEMMs run slower than the saved work is worth.
-            let gw = (ibb / 2).max(T_BLOCK_IB);
-            for (b0, bw) in inner_blocks(ibb, gw, ApplyTrans::Trans) {
-                let hi = b0 + bw;
-                let va = MatRef::new(vhat, rows, hi, 1, v_ld).t();
-                let vb = MatRef::new(&vhat[b0 * v_ld..], rows, bw, 1, v_ld);
-                let gb = MatMut::new(&mut g[b0 * ibb..], hi, bw, 1, ibb);
-                gemm_into(1.0, va, vb, 0.0, gb, gemm);
-            }
+    let g = grow(gram, ibb * ibb);
+    gram_upper(vhat, v_ld, rows, ibb, g, ibb);
+    for j in 0..ibb {
+        let (prev, col) = t.split_at_mut((t_col0 + j) * t_ld);
+        let col = &mut col[..=j];
+        let tau = taus[j];
+        col[j] = tau;
+        if tau == 0.0 {
+            col[..j].fill(0.0);
+            continue;
         }
-    }
-    // Without the lift the recurrence must run as one full block (there is
-    // nothing else to fill rows above the diagonal blocks).
-    let rw = if lift { tq } else { ibb };
-    for (b0, bw) in inner_blocks(ibb, rw, ApplyTrans::Trans) {
-        // Scalar recurrence confined to the diagonal block: for columns
-        // `b0..b0+bw` only rows `b0..` are built here; rows `0..b0` come
-        // from the lift GEMMs below.
-        for lj in b0..b0 + bw {
-            let tau = taus[lj];
-            let colbase = (t_col0 + lj) * t_ld;
-            t[lj + colbase] = tau;
-            if tau == 0.0 {
-                for li in b0..lj {
-                    t[li + colbase] = 0.0;
-                }
-                // Rows 0..b0 are still written by the lift (T22 column is
-                // zero, so the GEMM lands zeros there too).
-                continue;
-            }
-            // t[b0..lj, col] = -tau * V̂[:, b0..lj]^T v̂_lj from the Gram.
-            for li in b0..lj {
-                t[li + colbase] = -tau * g[li + lj * ibb];
-            }
-            // t[b0..lj, col] = T22_partial * t[b0..lj, col], ascending
-            // in-place triangular product within the block.
-            for li in b0..lj {
-                let mut s = 0.0;
-                for ll in li..lj {
-                    s += t[li + (t_col0 + ll) * t_ld] * t[ll + colbase];
-                }
-                t[li + colbase] = s;
-            }
+        for (c, gv) in col[..j].iter_mut().zip(&g[j * ibb..]) {
+            *c = -tau * gv;
         }
-        if lift && b0 > 0 {
-            let (t11d, rest) = dense.split_at_mut(ibb * ibb);
-            let (t22d, tmp) = rest.split_at_mut(tq * tq);
-            // Dense zero-padded copy of the fresh diagonal block T22.
-            for j in 0..bw {
-                let src = &t[(t_col0 + b0 + j) * t_ld + b0..];
-                let dst = &mut t22d[j * bw..(j + 1) * bw];
-                dst[..=j].copy_from_slice(&src[..=j]);
-                dst[j + 1..].fill(0.0);
-            }
-            // tmp = G12 * T22, then T12 = -T11 * tmp straight into `t`.
-            let g12 = MatRef::new(&g[b0 * ibb..], b0, bw, 1, ibb);
-            let t22 = MatRef::new(&t22d[..bw * bw], bw, bw, 1, bw);
-            let tmp = &mut tmp[..b0 * bw];
-            gemm_into(1.0, g12, t22, 0.0, MatMut::new(tmp, b0, bw, 1, b0), gemm);
-            let t11 = MatRef::new(t11d, b0, b0, 1, ibb);
-            let t12 = MatMut::new(&mut t[(t_col0 + b0) * t_ld..], b0, bw, 1, t_ld);
-            gemm_into(-1.0, t11, MatRef::new(tmp, b0, bw, 1, b0), 0.0, t12, gemm);
-        }
-        if lift {
-            // Extend the dense T11 copy with this block's finished columns
-            // so later blocks can lift against it.
-            let t11d = &mut dense[..ibb * ibb];
-            for j in 0..bw {
-                let col = b0 + j;
-                let src = &t[(t_col0 + col) * t_ld..];
-                let dst = &mut t11d[col * ibb..(col + 1) * ibb];
-                dst[..=col].copy_from_slice(&src[..=col]);
-                dst[col + 1..].fill(0.0);
+        // col := T[0..j, 0..j] col, column `l` of T scaled by the old
+        // col[l]: in place top-down, since column l only reaches rows <= l.
+        for l in 0..j {
+            let x = col[l];
+            col[l] = 0.0;
+            let tl = &prev[(t_col0 + l) * t_ld..][..=l];
+            for (ci, ti) in col[..=l].iter_mut().zip(tl) {
+                *ci += ti * x;
             }
         }
     }
@@ -617,6 +535,55 @@ mod tests {
         assert_eq!(&out[0..4], &[1.0, v[7], v[8], v[9]]);
         // Column 1 = reflector in tile column 2: zero, head, tail.
         assert_eq!(&out[4..8], &[0.0, 1.0, v[13], v[14]]);
+    }
+
+    #[test]
+    fn form_block_t_matches_dlarft() {
+        // Unit-lower reflectors (the in-tile shape), one with tau = 0, at
+        // block widths below, at and past the 8-column Gram groups; `t`
+        // starts dirty so every written entry is checked.
+        use crate::householder::dlarft_forward;
+        use crate::workspace::Workspace;
+        let mut rng = rand::rng();
+        let mut ws = Workspace::new();
+        for ibb in [1, 5, 8, 17, 32] {
+            let rows = ibb + 7;
+            let v = Matrix::random(rows, ibb, &mut rng);
+            let taus: Vec<f64> = (0..ibb)
+                .map(|j| {
+                    if j == ibb / 2 {
+                        0.0
+                    } else {
+                        1.0 + 0.01 * j as f64
+                    }
+                })
+                .collect();
+            let mut t_ref = Matrix::zeros(ibb, ibb);
+            dlarft_forward(&v, &taus, &mut t_ref);
+            let mut out = Vec::new();
+            let n = pad_tile_v(v.data(), rows, 0, ibb, &mut out);
+            let mut t = Matrix::from_fn(ibb + 2, ibb + 1, |_, _| f64::NAN);
+            form_block_t(
+                &out,
+                n,
+                n,
+                ibb,
+                &taus,
+                t.data_mut(),
+                ibb + 2,
+                1,
+                &mut ws.tgram,
+            );
+            for j in 0..ibb {
+                for i in 0..=j {
+                    let (got, want) = (t[(i, j + 1)], t_ref[(i, j)]);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "ibb={ibb} T[{i},{j}]: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

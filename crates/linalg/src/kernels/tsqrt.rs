@@ -1,13 +1,13 @@
 //! `tsqrt` / `tsmqr`: incremental QR of a triangle stacked on a full tile.
 //!
 //! The reflector tails live in a full `m2 x n` tile, so no padding is
-//! needed anywhere: sub-panel updates, `T` formation (Gram GEMM over the
-//! tails — the unit heads are orthogonal `e_j`'s and contribute nothing),
-//! and the trailing block applies are all straight GEMM-shaped.
+//! needed anywhere: the sweep reads whole columns, `T` formation takes
+//! the Gram of the tails (the unit heads are orthogonal `e_j`'s and
+//! contribute nothing), and the trailing block applies are straight
+//! GEMM-shaped.
 
+use super::sweep::{householder_sweep, Heads};
 use super::{apply_stacked_block, form_block_t, inner_blocks, sub_panel_width, ApplyTrans};
-use crate::blas::ddot;
-use crate::householder::dlarfg;
 use crate::matrix::Matrix;
 use crate::workspace::{grow, with_thread_workspace, Workspace};
 
@@ -43,27 +43,10 @@ pub fn tsqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
         let pib = sub_panel_width(ibb);
         for (p0l, pw) in inner_blocks(ibb, pib, ApplyTrans::Trans) {
             let p0 = jb + p0l;
-            #[allow(clippy::needless_range_loop)]
-            for lj in p0l..p0l + pw {
-                let j = jb + lj;
-                // Reflector from [a1[j,j]; a2[:, j]].
-                let (beta, tau) = dlarfg(a1[(j, j)], a2.col_mut(j));
-                a1[(j, j)] = beta;
-                taus[lj] = tau;
-                if tau == 0.0 {
-                    continue;
-                }
-                // Apply H_j to the remaining sub-panel columns of [A1; A2]:
-                // only row j of A1 is touched (the reflector head is e_j).
-                for c in j + 1..p0 + pw {
-                    let (v2, a2c) = a2.two_cols_mut(j, c);
-                    let w = tau * (a1[(j, c)] + ddot(v2, a2c));
-                    a1[(j, c)] -= w;
-                    for (x, v) in a2c.iter_mut().zip(v2.iter()) {
-                        *x -= w * v;
-                    }
-                }
-            }
+            let a1m = a1.nrows();
+            let heads = Heads::Full(a1.data_mut(), a1m);
+            let cols = p0..p0 + pw;
+            householder_sweep(a2.data_mut(), m2, heads, cols, &mut taus[p0l..p0l + pw]);
             // Apply the finished sub-panel to the rest of this inner block.
             if p0 + pw < jb + ibb {
                 form_block_t(
@@ -76,7 +59,6 @@ pub fn tsqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
                     pw,
                     0,
                     &mut ws.tgram,
-                    &mut ws.gemm,
                 );
                 // a2 is both reflector store and update target: split it at
                 // the sub-panel boundary and apply in place, no V copy.
@@ -102,7 +84,7 @@ pub fn tsqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
                 );
             }
         }
-        // Form the block's T factor from the tails (Gram GEMM).
+        // Form the block's T factor from the tails' Gram.
         let t_ld = t.nrows();
         form_block_t(
             &a2.data()[jb * m2..(jb + ibb) * m2],
@@ -114,7 +96,6 @@ pub fn tsqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
             t_ld,
             jb,
             &mut ws.tgram,
-            &mut ws.gemm,
         );
         // Apply the block reflector to the trailing columns: split `a2` at
         // the block boundary (reflector store left, target right).

@@ -8,10 +8,10 @@
 //! lanes are exact zeros, so results are unchanged, and the strict lower
 //! triangle of `a2` (poison by contract) is never read.
 
+use super::sweep::{householder_sweep, Heads};
 use super::{
     apply_stacked_block, form_block_t, inner_blocks, pad_stair_v, sub_panel_width, ApplyTrans,
 };
-use crate::householder::dlarfg;
 use crate::matrix::Matrix;
 use crate::workspace::{grow, with_thread_workspace, Workspace};
 
@@ -50,37 +50,10 @@ pub fn ttqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
         let pib = sub_panel_width(ibb);
         for (p0l, pw) in inner_blocks(ibb, pib, ApplyTrans::Trans) {
             let p0 = jb + p0l;
-            #[allow(clippy::needless_range_loop)]
-            for lj in p0l..p0l + pw {
-                let j = jb + lj;
-                // Reflector from [a1[j,j]; a2[0..=j, j]].
-                let (beta, tau) = {
-                    let tail = &mut a2.col_mut(j)[0..=j];
-                    dlarfg(a1[(j, j)], tail)
-                };
-                a1[(j, j)] = beta;
-                taus[lj] = tau;
-                if tau == 0.0 {
-                    continue;
-                }
-                // Apply H_j to the remaining sub-panel columns; the tail
-                // only touches rows 0..=j of A2, which stay inside its
-                // upper triangle because c > j.
-                for c in j + 1..p0 + pw {
-                    let (v2, a2c) = a2.two_cols_mut(j, c);
-                    let v2 = &v2[0..=j];
-                    let seg = &mut a2c[0..=j];
-                    let mut dot = 0.0;
-                    for (v, x) in v2.iter().zip(seg.iter()) {
-                        dot += v * x;
-                    }
-                    let w = tau * (a1[(j, c)] + dot);
-                    a1[(j, c)] -= w;
-                    for (x, v) in seg.iter_mut().zip(v2) {
-                        *x -= w * v;
-                    }
-                }
-            }
+            let a1m = a1.nrows();
+            let heads = Heads::Stair(a1.data_mut(), a1m);
+            let cols = p0..p0 + pw;
+            householder_sweep(a2.data_mut(), a2m, heads, cols, &mut taus[p0l..p0l + pw]);
             // Apply the finished sub-panel to the rest of this inner block.
             // Padding the staircase also takes the place of the V copy (a2
             // is both reflector store and update target). Target columns
@@ -98,7 +71,6 @@ pub fn ttqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
                     pw,
                     0,
                     &mut ws.tgram,
-                    &mut ws.gemm,
                 );
                 apply_stacked_block(
                     &ws.vpad[..vrows * pw],
@@ -134,7 +106,6 @@ pub fn ttqrt_ws(a1: &mut Matrix, a2: &mut Matrix, t: &mut Matrix, ib: usize, ws:
             t_ld,
             jb,
             &mut ws.tgram,
-            &mut ws.gemm,
         );
         // Apply the block reflector to the trailing columns, reusing the
         // padded V̂ copy (trailing columns c >= jb + ibb have valid rows

@@ -29,7 +29,7 @@ pub struct Workspace {
     pub(crate) vpad: Vec<f64>,
     /// Per-panel Householder scalars.
     pub(crate) taus: Vec<f64>,
-    /// `V̂^T V̂` Gram block for the GEMM-shaped `T` formation.
+    /// `V̂^T V̂` Gram block for the `T` formation.
     pub(crate) tgram: Vec<f64>,
     /// Sub-panel `T` factor used inside a blocked panel factorization.
     pub(crate) tsub: Vec<f64>,

@@ -22,6 +22,7 @@ pub mod placement;
 
 use crate::client::{Client, ClientError};
 use crate::proto::{self, ErrCode, JobState, Msg};
+use crate::server::{shutdown_reads, ConnSlot, Conns};
 use crate::service::ensure_finite;
 use ledger::{Assignment, Entry, Ledger, Outcome};
 use membership::{Caps, Health, Membership};
@@ -31,7 +32,7 @@ use pulsar_core::QrOptions;
 use pulsar_linalg::Matrix;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1072,22 +1073,26 @@ pub fn route(listener: TcpListener, router: Arc<Router>) -> std::io::Result<()> 
             })
             .expect("failed to spawn router prober")
     };
-    let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
-    let mut handlers = Vec::new();
-    loop {
+    let conns = Conns::default();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    for index in 0u64.. {
         let (stream, _) = listener.accept()?;
         if shutdown.load(Ordering::Acquire) {
             break;
         }
-        if let Ok(dup) = stream.try_clone() {
-            conns.lock().push(dup);
-        }
+        // As the node does: reap finished handlers, and hold a duplicate
+        // stream only while its connection is open.
+        handlers.retain(|h| !h.is_finished());
+        let slot = ConnSlot::register(&conns, index, &stream);
         let router = router.clone();
         let shutdown = shutdown.clone();
         handlers.push(
             std::thread::Builder::new()
                 .name("qr-route-conn".into())
-                .spawn(move || handle_route_conn(stream, &router, &shutdown, local))
+                .spawn(move || {
+                    let _slot = slot;
+                    handle_route_conn(stream, &router, &shutdown, local)
+                })
                 .expect("failed to spawn router connection handler"),
         );
     }
@@ -1095,9 +1100,7 @@ pub fn route(listener: TcpListener, router: Arc<Router>) -> std::io::Result<()> 
     // mid-flight between ACK and result-poll still get their reply.
     std::thread::sleep(router.cfg.drain_grace);
     prober_stop.store(true, Ordering::Release);
-    for conn in conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Read);
-    }
+    shutdown_reads(&conns);
     for h in handlers {
         let _ = h.join();
     }

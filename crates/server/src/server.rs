@@ -6,6 +6,7 @@ use crate::proto::{self, ErrCode, Msg};
 use crate::service::{JobError, Service, SubmitError};
 use parking_lot::Mutex;
 use pulsar_core::{QrOptions, Tree};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,13 +28,55 @@ impl JobError {
     }
 }
 
+/// A duplicate of every open connection's stream, by connection index, so
+/// the drain and die paths can unblock handlers sitting in a read. Shared
+/// by the node's and the router's accept loops.
+pub(crate) type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// A connection's entry in [`Conns`], removed when its handler exits (on
+/// any path, a panic included), so a long-running node holds one
+/// duplicate descriptor per *open* connection, not per connection ever
+/// accepted.
+pub(crate) struct ConnSlot {
+    conns: Conns,
+    index: u64,
+}
+
+impl ConnSlot {
+    /// Register a duplicate of `stream` under `index` (a connection whose
+    /// duplicate cannot be made is simply not registered).
+    pub(crate) fn register(conns: &Conns, index: u64, stream: &TcpStream) -> ConnSlot {
+        if let Ok(dup) = stream.try_clone() {
+            conns.lock().insert(index, dup);
+        }
+        ConnSlot {
+            conns: conns.clone(),
+            index,
+        }
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.conns.lock().remove(&self.index);
+    }
+}
+
+/// Close the read half of every open connection, so handlers blocked in a
+/// read see EOF and return while in-flight replies still flush.
+pub(crate) fn shutdown_reads(conns: &Conns) {
+    for (_, conn) in conns.lock().drain() {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+}
+
 /// Shared trigger for the `die=N` chaos directive: one reply counter
 /// across every connection, firing exactly once.
 struct DieSwitch {
     after: u64,
     replies: AtomicU64,
     fired: AtomicBool,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
 }
 
 /// Typed error reply for a handle-verb failure.
@@ -75,7 +118,7 @@ pub fn serve_with_faults(
     }
     let local = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+    let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
     let die = faults.as_ref().and_then(|f| f.die).map(|after| {
         Arc::new(DieSwitch {
             after,
@@ -84,18 +127,20 @@ pub fn serve_with_faults(
             conns: conns.clone(),
         })
     });
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conn_index = 0u64;
     loop {
         let (stream, _) = listener.accept()?;
         if shutdown.load(Ordering::Acquire) {
             break;
         }
+        // Reap handlers of connections that already closed: their threads
+        // are gone, so dropping the handle just releases it.
+        handlers.retain(|h| !h.is_finished());
         // Keep a duplicate handle so the drain path can unblock handlers
-        // that sit in a read on a connection the client left open.
-        if let Ok(dup) = stream.try_clone() {
-            conns.lock().push(dup);
-        }
+        // that sit in a read on a connection the client left open; the
+        // handler removes it again when it exits.
+        let slot = ConnSlot::register(&conns, conn_index, &stream);
         let service = service.clone();
         let shutdown = shutdown.clone();
         let conn_faults = faults.as_ref().map(|p| ConnFaults::new(p, conn_index));
@@ -104,7 +149,10 @@ pub fn serve_with_faults(
         handlers.push(
             std::thread::Builder::new()
                 .name("qr-conn".into())
-                .spawn(move || handle_conn(stream, &service, &shutdown, local, conn_faults, die))
+                .spawn(move || {
+                    let _slot = slot;
+                    handle_conn(stream, &service, &shutdown, local, conn_faults, die)
+                })
                 .expect("failed to spawn connection handler"),
         );
     }
@@ -134,9 +182,7 @@ pub fn serve_with_faults(
     while service.unclaimed_outcomes() > 0 && grace.elapsed() < drain_grace {
         std::thread::sleep(Duration::from_millis(5));
     }
-    for conn in conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Read);
-    }
+    shutdown_reads(&conns);
     for h in handlers {
         let _ = h.join();
     }
@@ -200,7 +246,7 @@ fn handle_conn(
                 && !d.fired.swap(true, Ordering::AcqRel)
             {
                 shutdown.store(true, Ordering::Release);
-                for conn in d.conns.lock().drain(..) {
+                for (_, conn) in d.conns.lock().drain() {
                     let _ = conn.shutdown(Shutdown::Both);
                 }
                 let _ = TcpStream::connect_timeout(&local, Duration::from_secs(5));

@@ -209,7 +209,9 @@ struct Job {
     /// The outcome has been delivered to a waiter at least once; drain's
     /// grace period only waits for unclaimed outcomes.
     claimed: bool,
-    outcome: Option<Result<Matrix, JobError>>,
+    /// Shared, so a waiter copies the `R` out after releasing the state
+    /// lock instead of under it.
+    outcome: Option<Result<Arc<Matrix>, JobError>>,
 }
 
 #[derive(Default)]
@@ -540,20 +542,24 @@ impl Service {
 
     /// Block until the job reaches a terminal state and return its R.
     pub fn wait_result(&self, id: u64) -> Result<Matrix, JobError> {
-        let mut st = self.state.lock();
-        loop {
-            match st.jobs.get_mut(&id) {
-                None => return Err(JobError::Unknown),
-                Some(job) => {
-                    if let Some(outcome) = &job.outcome {
-                        let outcome = outcome.clone();
-                        job.claimed = true;
-                        return outcome;
+        let outcome = {
+            let mut st = self.state.lock();
+            loop {
+                match st.jobs.get_mut(&id) {
+                    None => return Err(JobError::Unknown),
+                    Some(job) => {
+                        if let Some(outcome) = &job.outcome {
+                            job.claimed = true;
+                            break outcome.clone();
+                        }
                     }
                 }
+                self.done.wait(&mut st);
             }
-            self.done.wait(&mut st);
-        }
+        };
+        // The copy of R (2 MiB for a 2048x512 job) happens here, with the
+        // state lock released.
+        outcome.map(|r| Matrix::clone(&r))
     }
 
     /// Admitted jobs whose outcome no waiter has collected yet. The TCP
@@ -807,14 +813,14 @@ impl Service {
                     .lock()
                     .insert(FactorHandle::from_raw(id), Arc::new(factors))
                 {
-                    Ok(()) => Ok(r),
+                    Ok(()) => Ok(Arc::new(r)),
                     // The keep could not be honored; the client asked for
                     // a live handle, so a typed failure beats silently
                     // handing out an R whose handle is dead.
                     Err(e) => Err(JobError::from(e)),
                 }
             } else {
-                Ok(factors.r)
+                Ok(Arc::new(factors.r))
             };
             let ok = outcome.is_ok();
             job.state = if ok { JobState::Done } else { JobState::Failed };
